@@ -27,6 +27,7 @@ literature the paper builds on; for linear kernels it is exact.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,7 +89,8 @@ def _random_inputs(program: Program, rng: np.random.Generator) -> dict[str, np.n
 
 def _backpropagate(trace: ExecutionTrace, ref: int) -> np.ndarray:
     """Adjoint of every instance w.r.t. the value of instance ``ref``."""
-    adj = np.zeros(trace.n_instances, dtype=np.float64)
+    # A flat C double buffer: Python-speed indexing at 8 bytes a value.
+    adj = array("d", bytes(8 * trace.n_instances))
     adj[ref] = 1.0
     operands = trace.operands
     partials = trace.partials
@@ -98,7 +100,7 @@ def _backpropagate(trace: ExecutionTrace, ref: int) -> np.ndarray:
             continue
         for j, p in zip(operands[i], partials[i]):
             adj[j] += a * p
-    return adj
+    return np.frombuffer(adj, dtype=np.float64)
 
 
 def extract_gains(
@@ -140,6 +142,10 @@ def extract_gains(
     const_ops = [
         op.opid for op in program.all_ops() if op.kind is OpKind.CONST
     ]
+    const_instances: dict[int, list[int]] = {opid: [] for opid in const_ops}
+    for inst, static in enumerate(trace.static):
+        if static in const_instances:
+            const_instances[static].append(inst)
 
     gains = NoiseGains(n_ref_outputs=len(refs))
     n_coeff = len(coeff_entries)
@@ -166,7 +172,9 @@ def extract_gains(
         g = np.zeros(n_coeff, dtype=np.float64)
         for idx, cell in enumerate(coeff_cells):
             if isinstance(cell, int):  # static CONST op: coherent sum
-                g[idx] = _coherent_static_adjoint(trace, adj, cell, ref)
+                g[idx] = _coherent_static_adjoint(
+                    const_instances[cell], adj, ref
+                )
             else:  # pseudo instance id of a coefficient array cell
                 g[idx] = adj[cell[1]]
         cov += np.outer(g, g)
@@ -202,10 +210,8 @@ def _accumulate_instance_gains(
     operands = trace.operands
     partials = trace.partials
     first_pseudo = trace.first_pseudo_id
-    for i in range(ref + 1):
+    for i in np.flatnonzero(adj[:ref + 1]):
         a = adj[i]
-        if a == 0.0:
-            continue
         s = static[i]
         if s < 0 or s >= first_pseudo:
             continue
@@ -222,13 +228,14 @@ def _accumulate_instance_gains(
 
 
 def _coherent_static_adjoint(
-    trace: ExecutionTrace, adj: np.ndarray, opid: int, ref: int
+    instances: list[int], adj: np.ndarray, ref: int
 ) -> float:
-    """Coherent adjoint sum over all instances of a static op."""
-    static = trace.static
+    """Coherent adjoint sum over a static op's ``instances`` (ascending)."""
     total = 0.0
-    for i in range(ref + 1):
-        if static[i] == opid and adj[i] != 0.0:
+    for i in instances:
+        if i > ref:
+            break
+        if adj[i] != 0.0:
             total += adj[i]
     return total
 

@@ -7,10 +7,14 @@ specification:
 ``P(spec) = sum_i var_i(spec) * K2_i  +  (sum_i mean_i(spec) * K1_i)^2
             + dc(spec)' C dc(spec)``
 
-Evaluation is vectorized numpy over the site tables, so a call costs
-microseconds — which is what makes the O(candidates^2) accuracy
-conflict detection of the paper's Fig. 1c practical, exactly as
-ID.Fix's generated noise expression did for the original.
+Evaluation is vectorized numpy over the site tables, recomputed in
+full on every call.  The tables are small (24 to 45 sites on the
+shipped kernels), so a call is about 40 numpy dispatches and costs
+100-135 µs whatever the kernel size (2-vCPU Xeon, Python 3.11,
+numpy 2.4).  That is cheap enough for the O(candidates^2) accuracy
+conflict detection of the paper's Fig. 1c, as ID.Fix's generated
+noise expression was for the original, but it is the largest single
+cost of the joint search (ROADMAP item C).
 """
 
 from __future__ import annotations

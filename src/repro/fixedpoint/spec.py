@@ -78,7 +78,9 @@ class SlotMap:
                 if op.kind is OpKind.WRITEVAR:
                     union(op.operands[0], self.symbol_slot[op.var])  # type: ignore[index]
 
-        self.root = np.array([find(i) for i in range(self.n_slots)], dtype=np.int32)
+        # ``root`` serves vectorized lookups, its list twin ``root_of``.
+        self._root = [find(i) for i in range(self.n_slots)]
+        self.root = np.array(self._root, dtype=np.int32)
         members: dict[int, list[int]] = {}
         for slot in range(self.n_slots):
             members.setdefault(int(self.root[slot]), []).append(slot)
@@ -89,7 +91,7 @@ class SlotMap:
     # ------------------------------------------------------------------
     def root_of(self, slot: int) -> int:
         """Tie-group root of ``slot``."""
-        return int(self.root[slot])
+        return self._root[slot]
 
     def slot_of_symbol(self, name: str) -> int:
         try:

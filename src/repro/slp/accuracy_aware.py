@@ -94,6 +94,8 @@ def slp_round_accuracy_aware(
     # --- Conflicts Detection ------------------------------------------
     conflicts: set[frozenset[int]] = set()
     for i in range(len(candidates)):
+        # Candidate i's SETMAXWL is applied once for all its partners.
+        with_i: int | None = None
         for j in range(i + 1, len(candidates)):
             if structural_conflict(candidates[i], candidates[j], deps):
                 conflicts.add(frozenset((i, j)))
@@ -102,8 +104,10 @@ def slp_round_accuracy_aware(
                 continue
             if not accuracy_conflicts:
                 continue
+            if with_i is None:
+                with_i = spec.save()
+                set_group_wl(spec, program, candidates[i].lanes, candidates[i].wl)
             token = spec.save()
-            set_group_wl(spec, program, candidates[i].lanes, candidates[i].wl)
             set_group_wl(spec, program, candidates[j].lanes, candidates[j].wl)
             violates = model.violates(spec, constraint_db)
             spec.revert(token)
@@ -111,6 +115,8 @@ def slp_round_accuracy_aware(
                 conflicts.add(frozenset((i, j)))
                 if stats is not None:
                     stats.accuracy_conflicts += 1
+        if with_i is not None:
+            spec.revert(with_i)
 
     # --- SIMD Groups Selection (SETMAXWL applied permanently) ----------
     def on_select(candidate: Candidate) -> None:

@@ -27,12 +27,30 @@ from repro.ir.program import Program
 from repro.slp.candidates import Candidate, PackItem
 from repro.slp.groups import memory_lane_stride
 
-__all__ = ["BenefitEstimator"]
+__all__ = ["BenefitEstimator", "BenefitPools"]
 
 #: Relative reuse credit of a match against an already-formed item
 #: versus a still-tentative candidate.
 _ITEM_WEIGHT = 1.0
 _CANDIDATE_WEIGHT = 0.75
+
+
+@dataclass(frozen=True)
+class BenefitPools:
+    """What a benefit score reads of the selection state, indexed.
+
+    Built once per selection step (:meth:`BenefitEstimator.pools`) and
+    shared by every score of that step.
+    """
+
+    #: Lane tuples of the formed pack items.
+    items: frozenset[PackItem]
+    #: Lane tuples of the live candidates.
+    candidates: frozenset[tuple[int, ...]]
+    #: Producer lanes -> (consumer lanes, reuse weight), one entry per
+    #: operand position of an item or candidate that reads exactly
+    #: those lanes.
+    consumers: dict[tuple[int, ...], list[tuple[tuple[int, ...], float]]]
 
 
 @dataclass
@@ -45,6 +63,10 @@ class BenefitEstimator:
     _consumers: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
     #: producer opid -> variable written from it (WRITEVAR value edges).
     _feeds_var: dict[int, str] = field(default_factory=dict)
+    #: lanes -> per operand position, the tuple of lane producers.
+    _operands: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = field(
+        default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         for op in self.block.ops:
@@ -54,25 +76,59 @@ class BenefitEstimator:
                 self._feeds_var[op.operands[0]] = op.var  # type: ignore[assignment]
 
     # ------------------------------------------------------------------
+    def _operand_lanes(self, lanes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """Per operand position, the producers of ``lanes``' operands."""
+        found = self._operands.get(lanes)
+        if found is None:
+            ops = [self.program.op(opid) for opid in lanes]
+            found = tuple(
+                tuple(op.operands[pos] for op in ops)
+                for pos in range(len(ops[0].operands))
+            )
+            self._operands[lanes] = found
+        return found
+
+    def pools(
+        self, candidates: list[Candidate], items: list[PackItem]
+    ) -> BenefitPools:
+        """Index the items and candidates every score of a step reads.
+
+        Tuple equality implies size equality, so one pool of each
+        suffices for full-lane, half-lane and operand matching alike.
+        """
+        item_lanes = frozenset(items)
+        candidate_lanes = frozenset(c.lanes for c in candidates)
+        consumers: dict[tuple[int, ...], list] = {}
+        for pool, weight in (
+            (item_lanes, _ITEM_WEIGHT),
+            (candidate_lanes, _CANDIDATE_WEIGHT),
+        ):
+            for other in pool:
+                for producers in self._operand_lanes(other):
+                    consumers.setdefault(producers, []).append((other, weight))
+        return BenefitPools(item_lanes, candidate_lanes, consumers)
+
     def benefit(
         self,
         candidate: Candidate,
         candidates: list[Candidate],
         items: list[PackItem],
+        pools: BenefitPools | None = None,
     ) -> float:
-        """Reuse-over-cost score of ``candidate`` in the current state."""
+        """Reuse-over-cost score of ``candidate`` in the current state.
+
+        ``pools`` is :meth:`pools` of ``candidates`` and ``items``,
+        passed in when many candidates are scored in one state.  (A
+        candidate never matches its own lanes: no op reads itself, and
+        half-lane matches are shorter than it.)
+        """
+        if pools is None:
+            pools = self.pools(candidates, items)
         lanes = candidate.lanes
         n = candidate.size
         reuse = 0.0
         pack_cost = 0.0
         unpack_cost = 0.0
-
-        # Tuple equality implies size equality, so one pool of each
-        # suffices for full-lane, half-lane and operand matching alike.
-        lane_tuples = set(items)
-        cand_tuples = {
-            c.lanes for c in candidates if c is not candidate
-        }
 
         if candidate.kind in (OpKind.LOAD, OpKind.STORE):
             if candidate.kind is OpKind.LOAD and all(
@@ -89,19 +145,13 @@ class BenefitEstimator:
                 else:
                     pack_cost += n - 1  # gather / scatter
         if candidate.kind in ARITHMETIC_KINDS or candidate.kind is OpKind.STORE:
-            arity = len(self.program.op(lanes[0]).operands)
-            for pos in range(arity):
-                producers = tuple(
-                    self.program.op(opid).operands[pos] for opid in lanes
-                )
-                reuse_gain, cost = self._operand_cost(
-                    lanes, producers, lane_tuples, cand_tuples
-                )
+            for producers in self._operand_lanes(lanes):
+                reuse_gain, cost = self._operand_cost(lanes, producers, pools)
                 reuse += reuse_gain
                 pack_cost += cost
 
         if candidate.kind is not OpKind.STORE:
-            r_gain, u_cost = self._result_cost(lanes, lane_tuples, cand_tuples)
+            r_gain, u_cost = self._result_cost(lanes, pools)
             reuse += r_gain
             unpack_cost += u_cost
 
@@ -113,14 +163,13 @@ class BenefitEstimator:
         self,
         lanes: tuple[int, ...],
         producers: tuple[int, ...],
-        lane_tuples: set[PackItem],
-        cand_tuples: set[tuple[int, ...]],
+        pools: BenefitPools,
     ) -> tuple[float, float]:
         """(reuse gained, pack cost) of one vector operand."""
         n = len(lanes)
-        if producers in lane_tuples:
+        if producers in pools.items:
             return _ITEM_WEIGHT, 0.0
-        if producers in cand_tuples:
+        if producers in pools.candidates:
             supply = [self.program.op(p) for p in producers]
             if all(op.kind is OpKind.LOAD for op in supply):
                 stride = memory_lane_stride(self.program, producers)
@@ -144,16 +193,16 @@ class BenefitEstimator:
             return 0.0, float(n - 1)
         if self._is_loop_carried_accumulator(lanes, producers):
             return _ITEM_WEIGHT, 0.0
-        if self._single_item_source(producers, lane_tuples):
+        if self._single_item_source(producers, pools.items):
             return 0.25, 1.0  # one permute/lane-select op
         return 0.0, float(n - 1)
 
     def _single_item_source(
-        self, producers: tuple[int, ...], lane_tuples: set[PackItem]
+        self, producers: tuple[int, ...], items: frozenset[PackItem]
     ) -> bool:
         """All producers are lanes of one existing wider item."""
         produced = set(producers)
-        for item in lane_tuples:
+        for item in items:
             if len(item) > len(producers) and produced <= set(item):
                 return True
         return False
@@ -176,10 +225,7 @@ class BenefitEstimator:
         return True
 
     def _result_cost(
-        self,
-        lanes: tuple[int, ...],
-        lane_tuples: set[PackItem],
-        cand_tuples: set[tuple[int, ...]],
+        self, lanes: tuple[int, ...], pools: BenefitPools
     ) -> tuple[float, float]:
         """(reuse gained, unpack cost) of the candidate's result.
 
@@ -189,7 +235,7 @@ class BenefitEstimator:
         consumer forces an extract per use (capped at the lane count —
         a full unpack).
         """
-        reuse = sum(self._vector_consumers(lanes, lane_tuples, cand_tuples))
+        reuse = sum(self._vector_consumers(lanes, pools))
         scalar_uses = 0
         for lane in lanes:
             for consumer, _pos in self._consumers.get(lane, ()):
@@ -207,47 +253,30 @@ class BenefitEstimator:
             # lane-exactly breaks working superword reuse: consumers
             # would have to extract their lanes back out.  Charge the
             # repacking this forces on them.
-            unpack += self._broken_half_reuse(lanes, lane_tuples, cand_tuples)
+            unpack += self._broken_half_reuse(lanes, pools)
         return reuse, unpack
 
     def _broken_half_reuse(
-        self,
-        lanes: tuple[int, ...],
-        lane_tuples: set[PackItem],
-        cand_tuples: set[tuple[int, ...]],
+        self, lanes: tuple[int, ...], pools: BenefitPools
     ) -> float:
         if len(lanes) < 4:
             return 0.0
         half = len(lanes) // 2
         penalty = 0.0
         for part in (lanes[:half], lanes[half:]):
-            if self._vector_consumers(part, lane_tuples, cand_tuples):
+            if self._vector_consumers(part, pools):
                 penalty += float(half)
         return penalty
 
     def _vector_consumers(
-        self,
-        lanes: tuple[int, ...],
-        lane_tuples: set[PackItem],
-        cand_tuples: set[tuple[int, ...]],
+        self, lanes: tuple[int, ...], pools: BenefitPools
     ) -> list[float]:
         """Reuse credits from items/candidates consuming ``lanes``."""
-        credits: list[float] = []
-        for pool, weight in (
-            (lane_tuples, _ITEM_WEIGHT),
-            (cand_tuples, _CANDIDATE_WEIGHT),
-        ):
-            for other in pool:
-                if other == lanes:
-                    continue
-                arity = len(self.program.op(other[0]).operands)
-                for pos in range(arity):
-                    producers = tuple(
-                        self.program.op(o).operands[pos] for o in other
-                    )
-                    if producers == lanes:
-                        credits.append(weight)
-        return credits
+        return [
+            weight
+            for other, weight in pools.consumers.get(lanes, ())
+            if other != lanes
+        ]
 
     def _reads_var_somewhere(self, lanes: tuple[int, ...], var: str | None) -> bool:
         if var is None:

@@ -11,6 +11,7 @@ between all lanes, a supported lane word length for the combined size
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.ir.block import BasicBlock
 from repro.ir.deps import DependenceGraph
@@ -34,7 +35,7 @@ class Candidate:
     #: Lane word length for the combined size (eq. (1)).
     wl: int
 
-    @property
+    @cached_property
     def lanes(self) -> tuple[int, ...]:
         return self.left + self.right
 
@@ -43,7 +44,7 @@ class Candidate:
         return len(self.left) + len(self.right)
 
     def shares_op_with(self, other: "Candidate") -> bool:
-        return bool(set(self.lanes) & set(other.lanes))
+        return not set(self.lanes).isdisjoint(other.lanes)
 
     def __str__(self) -> str:
         return f"{self.kind.value}{list(self.lanes)}@{self.wl}b"

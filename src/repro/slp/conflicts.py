@@ -35,13 +35,14 @@ def have_cyclic_dependency(
     a: Candidate, b: Candidate, deps: DependenceGraph
 ) -> bool:
     """True when grouping both would create a group-level cycle."""
+    a_lanes, b_lanes = a.lanes, b.lanes
     a_reaches_b = any(
-        deps.depends(lb, la) for la in a.lanes for lb in b.lanes
+        not deps.descendants(la).isdisjoint(b_lanes) for la in a_lanes
     )
     if not a_reaches_b:
         return False
     return any(
-        deps.depends(la, lb) for la in a.lanes for lb in b.lanes
+        not deps.descendants(lb).isdisjoint(a_lanes) for lb in b_lanes
     )
 
 

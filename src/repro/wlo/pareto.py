@@ -30,7 +30,7 @@ from repro.errors import WLOError
 from repro.fixedpoint.spec import FixedPointSpec
 from repro.ir.program import Program
 from repro.targets.model import TargetModel
-from repro.wlo.cost import wl_relative_cost
+from repro.wlo.cost import WlRelativeCost
 
 __all__ = ["FrontierPoint", "ParetoFrontier", "ParetoResult", "pareto_frontier"]
 
@@ -115,7 +115,8 @@ def pareto_frontier(
 
     for root in roots:
         spec.set_wl(root, target.max_wl)
-    cost = wl_relative_cost(program, spec, target)
+    cost_of = WlRelativeCost(program, target)
+    cost = cost_of(spec)
     noise = model.noise_db(spec)
     frontier = ParetoFrontier([FrontierPoint(noise, cost, snapshot())])
 
@@ -129,7 +130,7 @@ def pareto_frontier(
             token = spec.save()
             spec.set_wl(root, wl)
             frontier.evaluations += 1
-            move_cost = wl_relative_cost(program, spec, target)
+            move_cost = cost_of(spec)
             move_noise = model.noise_db(spec)
             spec.revert(token)
             saving = cost - move_cost

@@ -9,10 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.flows import AnalysisContext
 from repro.ir import ProgramBuilder, loop_index
-from repro.kernels import conv2d, fir, iir
+from repro.kernels import conv2d, fir, iir, kernel_catalog
+
+#: A larger example budget for property tests that take it from the
+#: active profile (``pytest --hypothesis-profile=thorough``); tier-1
+#: runs Hypothesis' default budget.
+settings.register_profile("thorough", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(scope="session")
@@ -46,6 +52,16 @@ def iir_context(small_iir) -> AnalysisContext:
 @pytest.fixture(scope="session")
 def conv_context(small_conv) -> AnalysisContext:
     return AnalysisContext.build(small_conv)
+
+
+@pytest.fixture(scope="session")
+def shipped_contexts(fir_context, iir_context, conv_context):
+    """Contexts of every catalog kernel, the paper's three at test size."""
+    contexts = {"fir": fir_context, "iir": iir_context, "conv": conv_context}
+    for name, (factory, _description) in kernel_catalog().items():
+        if name not in contexts:
+            contexts[name] = AnalysisContext.build(factory())
+    return contexts
 
 
 @pytest.fixture()

@@ -1,16 +1,26 @@
 """The central validation: analytical EVALACC vs bit-accurate truth."""
 
+import pickle
+import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.accuracy import (
+    AccuracyModel,
     SimulationAccuracyEvaluator,
     build_accuracy_model,
     enumerate_sites,
     quant_noise_moments,
 )
 from repro.accuracy.sites import SiteKind
-from repro.fixedpoint import QuantMode, SlotMap
+from repro.fixedpoint import NO_NARROW, QuantMode, SlotMap
+from repro.ir import OpKind
+from repro.kernels import kernel_catalog
 
 
 def _uniform(context, wl):
@@ -186,3 +196,150 @@ class TestMoments:
     def test_no_discard_no_noise(self):
         assert quant_noise_moments(8, 8, QuantMode.TRUNCATE) == (0.0, 0.0)
         assert quant_noise_moments(8, 16, QuantMode.TRUNCATE) == (0.0, 0.0)
+
+
+# ----------------------------------------------------------------------
+# History independence: every call equals a cold model's first call.
+
+SHIPPED_KERNELS = sorted(kernel_catalog())
+
+
+def _twin(model, **modes):
+    """A new, cold model over the same gains."""
+    return AccuracyModel(
+        model.program, model.slotmap, model.gains,
+        quant_mode=modes.get("quant_mode", model.quant_mode),
+        input_mode=modes.get("input_mode", model.input_mode),
+    )
+
+
+def _mul_ops(context):
+    return [
+        op.opid for op in context.program.all_ops() if op.kind is OpKind.MUL
+    ]
+
+
+#: One spec mutation (indices are taken modulo the kernel's roots/MULs)
+#: or a journal/ownership move of the trajectory.
+_STEP = st.one_of(
+    st.tuples(st.just("wl"), st.integers(0, 999), st.integers(1, 32)),
+    st.tuples(st.just("iwl"), st.integers(0, 999), st.integers(-4, 12)),
+    st.tuples(st.just("fwl"), st.integers(0, 999), st.integers(-4, 30)),
+    st.tuples(
+        st.just("edge"), st.integers(0, 999), st.integers(0, 1),
+        st.sampled_from([4, 8, 12, 16, 24, NO_NARROW]),
+    ),
+    st.sampled_from([("save",), ("revert",), ("clone",), ("switch",)]),
+)
+
+
+class TestHistoryIndependence:
+    """``noise_power`` depends on the spec's current state alone.
+
+    Tabu and the joint flow evaluate long save/mutate/revert
+    trajectories and alternate specs on one model, and ``repro serve``
+    jobs share one model across threads: nothing a model keeps between
+    calls may leak one state into another's value.  The budget follows
+    the active Hypothesis profile; CI reruns this class under the
+    larger ``thorough`` profile (``tests/conftest.py``).
+    """
+
+    @pytest.mark.parametrize("kernel", SHIPPED_KERNELS)
+    @settings(deadline=None)
+    @given(
+        quant_mode=st.sampled_from(list(QuantMode)),
+        input_mode=st.sampled_from(list(QuantMode)),
+        steps=st.lists(_STEP, max_size=12),
+    )
+    def test_trajectory_matches_fresh_model(
+        self, shipped_contexts, kernel, quant_mode, input_mode, steps
+    ):
+        context = shipped_contexts[kernel]
+        model = _twin(context.model, quant_mode=quant_mode,
+                      input_mode=input_mode)
+        roots = context.slotmap.roots
+        muls = _mul_ops(context)
+        # Two specs share the model, as tabu and the joint flow do.
+        specs = [context.fresh_spec(), context.fresh_spec()]
+        tokens: list[list[int]] = [[], []]
+        active = 0
+
+        def check() -> None:
+            spec = specs[active]
+            before = model.eval_count
+            got = model.noise_power(spec)
+            assert model.eval_count == before + 1
+            assert got == _twin(model).noise_power(spec)
+
+        check()
+        for step in steps:
+            spec = specs[active]
+            move = step[0]
+            if move == "wl":
+                spec.set_wl(roots[step[1] % len(roots)], step[2])
+            elif move == "iwl":
+                spec.set_iwl(roots[step[1] % len(roots)], step[2])
+            elif move == "fwl":
+                spec.set_fwl(roots[step[1] % len(roots)], step[2])
+            elif move == "edge":
+                if muls:
+                    spec.set_edge_wl(muls[step[1] % len(muls)], step[2], step[3])
+            elif move == "save":
+                tokens[active].append(spec.save())
+            elif move == "revert":
+                if tokens[active]:
+                    spec.revert(tokens[active].pop())
+            elif move == "clone":
+                specs[active] = spec.clone()
+                tokens[active] = []
+            else:
+                active = 1 - active
+            check()
+
+    def test_threads_sharing_a_model_match_sequential(self, conv_context):
+        """``repro serve`` jobs share one model through the pass cache."""
+        rng = random.Random(2017)
+        roots = conv_context.slotmap.roots
+        trajectories = []
+        for _thread in range(4):
+            spec = conv_context.fresh_spec()
+            trajectory = []
+            for _step in range(100):
+                spec.set_wl(rng.choice(roots), rng.choice([8, 12, 16, 24, 32]))
+                trajectory.append(spec.clone())
+            trajectories.append(trajectory)
+        expected = [
+            [_twin(conv_context.model).noise_power(s) for s in trajectory]
+            for trajectory in trajectories
+        ]
+        start = threading.Barrier(len(trajectories))
+
+        def evaluate(shared, trajectory):
+            start.wait()
+            return [shared.noise_power(spec) for spec in trajectory]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads densely
+        try:
+            with ThreadPoolExecutor(len(trajectories)) as pool:
+                for _round in range(8):  # a race shows in some rounds
+                    shared = _twin(conv_context.model)
+                    results = list(pool.map(
+                        evaluate, [shared] * len(trajectories), trajectories
+                    ))
+                    assert results == expected
+                    assert shared.eval_count == sum(map(len, trajectories))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_pickled_model_evaluates_identically(self, conv_context):
+        model = _twin(conv_context.model)
+        spec = conv_context.fresh_spec()
+        rng = random.Random(9)
+        roots = conv_context.slotmap.roots
+        model.noise_power(spec)  # pickle a model that has evaluated
+        twin = pickle.loads(pickle.dumps(model))
+        for _step in range(40):
+            spec.set_wl(rng.choice(roots), rng.choice([8, 12, 16, 24, 32]))
+            assert twin.noise_power(spec) == model.noise_power(spec)
+        assert twin.eval_count == model.eval_count  # the count travels

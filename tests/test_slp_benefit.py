@@ -8,8 +8,15 @@ from repro.slp import (
     extract_candidates,
     initial_items,
 )
-from repro.slp.extraction import DEFAULT_MIN_BENEFIT
+from repro.experiments import PAPER_TARGETS
+from repro.kernels import kernel_catalog
+from repro.slp.extraction import (
+    DEFAULT_MIN_BENEFIT,
+    SelectionStats,
+    extract_groups_decoupled,
+)
 from repro.targets import get_target
+from repro.wlo import tabu_wlo, wlo_slp_optimize
 
 
 @pytest.fixture()
@@ -186,3 +193,94 @@ class TestHalfReuseBreaking:
         # With the mul quad in the pool the load quad gains a vector
         # consumer; without one it pays the broken-half penalty.
         assert score_chained >= score_breaking
+
+
+# ----------------------------------------------------------------------
+# The indexed consumer pools against the linear scan they replace.
+
+def _scan_consumers(program, lanes, item_lanes, candidate_lanes):
+    """Reference: every (item or candidate, weight) consuming ``lanes``,
+    found by scanning each pool member's operand tuples."""
+    found = []
+    for pool, weight in ((item_lanes, 1.0), (candidate_lanes, 0.75)):
+        for other in pool:
+            if other == lanes:
+                continue
+            arity = len(program.op(other[0]).operands)
+            for pos in range(arity):
+                producers = tuple(program.op(o).operands[pos] for o in other)
+                if producers == lanes:
+                    found.append((other, weight))
+    return found
+
+
+class _ScanPools:
+    """The pools as every score built them before indexing: fresh sets
+    per call (excluding the scored candidate) and consumer lookups by
+    linear scan.  Everything else in the score is shared code."""
+
+    def __init__(self, program, candidate, candidates, items):
+        self.items = set(items)
+        self.candidates = {c.lanes for c in candidates if c is not candidate}
+        self.consumers = self
+        self._program = program
+
+    def get(self, lanes, default=()):
+        return _scan_consumers(
+            self._program, lanes, self.items, self.candidates
+        ) or default
+
+
+def _extract_both(context, target, constraint_db):
+    """Joint and decoupled extraction stats plus their group partitions."""
+    program, model = context.program, context.model
+    joint_spec = context.fresh_spec()
+    joint = wlo_slp_optimize(program, joint_spec, model, target, constraint_db)
+    decoupled_spec = context.fresh_spec()
+    tabu_wlo(program, decoupled_spec, model, target, constraint_db)
+    decoupled = SelectionStats()
+    groups = {
+        name: extract_groups_decoupled(
+            program, block, decoupled_spec, target, decoupled
+        )
+        for name, block in program.blocks.items()
+    }
+    partition = {
+        name: [group.lanes for group in group_set]
+        for name, group_set in {**joint.groups, **groups}.items()
+    }
+    return joint.selection, decoupled, partition
+
+
+@pytest.mark.parametrize("target_name", PAPER_TARGETS)
+@pytest.mark.parametrize("kernel", sorted(kernel_catalog()))
+def test_indexed_benefit_matches_linear_scan(
+    shipped_contexts, monkeypatch, kernel, target_name
+):
+    """Every score of both extraction front ends equals the scan's, so
+    the selections, and hence every SelectionStats field, agree."""
+    context = shipped_contexts[kernel]
+    target = get_target(target_name)
+    indexed = _extract_both(context, target, -30.0)
+
+    indexed_score = BenefitEstimator.benefit
+    scored = 0
+
+    def scan_score(self, candidate, candidates, items, pools=None):
+        nonlocal scored
+        reference = indexed_score(
+            self, candidate, candidates, items,
+            _ScanPools(self.program, candidate, candidates, items),
+        )
+        assert indexed_score(self, candidate, candidates, items, pools) \
+            == reference
+        assert indexed_score(self, candidate, candidates, items) == reference
+        scored += 1
+        return reference
+
+    monkeypatch.setattr(BenefitEstimator, "benefit", scan_score)
+    scanned = _extract_both(context, target, -30.0)
+    assert scanned == indexed
+    joint, decoupled, _partition = indexed
+    assert scored == joint.benefit_evaluations + decoupled.benefit_evaluations
+    assert scored > 0

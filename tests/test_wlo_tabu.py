@@ -1,10 +1,15 @@
 """Tabu-search WLO (the WLO-First engine) tests."""
 
+import random
+
 import pytest
 
 from repro.errors import WLOError
+from repro.experiments import PAPER_TARGETS
+from repro.kernels import kernel_catalog
 from repro.targets import get_target
 from repro.wlo import TabuConfig, tabu_wlo, wl_relative_cost
+from repro.wlo.cost import WlRelativeCost
 
 
 class TestTabu:
@@ -141,3 +146,38 @@ class TestCostModel:
             spec.set_wl(root, 32)
         cost32 = wl_relative_cost(fir_context.program, spec, target)
         assert cost24 == pytest.approx(cost32)
+
+
+def _walk_cost(program, spec, target):
+    """Reference: the full block walk, re-deriving each op's width."""
+    from repro.wlo.cost import _COSTING_KINDS
+
+    supported = sorted(target.supported_wls)
+    total = 0.0
+    for block in program.blocks.values():
+        weight = float(block.executions)
+        for op in block.ops:
+            if op.kind not in _COSTING_KINDS:
+                continue
+            wl = spec.wl(op.opid)
+            effective = next((w for w in supported if w >= wl), supported[-1])
+            total += weight * (effective / target.scalar_wl)
+    return total
+
+
+@pytest.mark.parametrize("target_name", PAPER_TARGETS)
+@pytest.mark.parametrize("kernel", sorted(kernel_catalog()))
+def test_precomputed_cost_is_bit_identical(
+    shipped_contexts, kernel, target_name
+):
+    context = shipped_contexts[kernel]
+    target = get_target(target_name)
+    cost_of = WlRelativeCost(context.program, target)
+    rng = random.Random(17)
+    spec = context.fresh_spec()
+    roots = context.slotmap.roots
+    for _step in range(30):
+        assert cost_of(spec) == _walk_cost(context.program, spec, target)
+        assert wl_relative_cost(context.program, spec, target) \
+            == cost_of(spec)
+        spec.set_wl(rng.choice(roots), rng.randint(1, 40))
